@@ -141,7 +141,7 @@ def mean_or_zero(values: List[float]) -> float:
 
 
 # ----------------------------------------------------------------------
-# federation runs (shared by bench_perf, bench_core and the scaling test)
+# federation runs (shared by bench_core and the scaling test)
 # ----------------------------------------------------------------------
 def build_federation(
     dataset: UniformDataset,

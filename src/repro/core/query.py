@@ -21,10 +21,11 @@ BAT.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, List, Optional, Sequence
+from typing import Callable, Generator, List, Optional, Sequence
 
-from repro.core.runtime import NodeRuntime, PinResult
+from repro.core.runtime import NODE_CRASHED, NodeRuntime, PinResult
 from repro.events.types import QueryRegistered
+from repro.sim.process import Future
 
 __all__ = ["PinStep", "QuerySpec", "query_process"]
 
@@ -108,38 +109,76 @@ class QuerySpec:
         )
 
 
-def query_process(runtime: NodeRuntime, spec: QuerySpec) -> Generator:
+def query_process(
+    runtime: NodeRuntime,
+    spec: QuerySpec,
+    is_local: Optional[Callable[[int], bool]] = None,
+    fetch: Optional[Callable[[int], Future]] = None,
+) -> Generator:
     """The interpreter thread of one query, as a simulated process.
 
     Mirrors the massaged MAL plan of Table 2: request() everything up
     front, then pin -> execute -> ... -> unpin, and report completion.
+    A crash of the query's node is noticed after every operator, every
+    pin and the tail, and fails the query with ``NODE_CRASHED``.
+
+    The federations (docs/multiring.md) pass a locator and a fetch:
+    ``is_local(bat_id)`` says whether the BAT is homed on this ring --
+    it is re-read at every pin, because a fragment may migrate between
+    the request and the pin -- and ``fetch(bat_id)`` returns a
+    pin-shaped future for a BAT homed elsewhere.  The classic ring
+    passes neither: every BAT is local.
     """
-    if runtime.bus.active:
-        runtime.bus.publish(
-            QueryRegistered(runtime.sim.now, spec.query_id, spec.node, spec.tag)
+    bus = runtime.bus
+    if bus.active:
+        bus.publish(
+            QueryRegistered(runtime.sim.now, spec.query_id, runtime.node_id, spec.tag)
         )
-    runtime.request(spec.query_id, spec.bat_ids)
+    local = spec.bat_ids
+    if is_local is not None:
+        local = [b for b in local if is_local(b)]
+    if local:
+        runtime.request(spec.query_id, local)
 
     pinned: List[int] = []
     failed: Optional[str] = None
     for step in spec.steps:
+        if runtime.crashed:
+            failed = NODE_CRASHED
+            break
         if step.op_time > 0:
             yield runtime.exec_op(step.op_time)
-        fut = runtime.pin(spec.query_id, step.bat_id)
-        yield fut
-        result: PinResult = fut.value
+            if runtime.crashed:
+                failed = NODE_CRASHED
+                break
+        bat_id = step.bat_id
+        if is_local is None or is_local(bat_id):
+            fut = runtime.pin(spec.query_id, bat_id)
+            yield fut
+            result: PinResult = fut.value
+            if result.ok:
+                pinned.append(bat_id)
+        else:
+            fut = fetch(bat_id)
+            yield fut
+            result = fut.value
         if not result.ok:
             failed = result.error or "pin failed"
             break
-        pinned.append(step.bat_id)
+        if runtime.crashed:
+            failed = NODE_CRASHED
+            break
 
     if failed is None and spec.tail_time > 0:
         yield runtime.exec_op(spec.tail_time)
+        if runtime.crashed:
+            failed = NODE_CRASHED
 
     for bat_id in pinned:
         runtime.unpin(spec.query_id, bat_id)
     runtime.finish_query(spec.query_id, failed=failed is not None, error=failed or "")
     # The generator's return value becomes the Process result: None on
     # success, the error string on failure.  The retry manager
-    # (repro.resilience) joins on it to decide whether to fail over.
+    # (repro.resilience) and the federations' retry ladder join on it to
+    # decide whether to fail over.
     return failed

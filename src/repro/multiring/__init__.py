@@ -6,7 +6,8 @@ subsystem caps that curve by federating N small rings instead of
 growing one big one (docs/multiring.md):
 
 * :class:`RingFederation` -- the facade: N classic rings on a shared
-  simulator, global node addressing, federated query processes,
+  simulator, global node addressing, the classic query process with a
+  catalog locator and cross-ring fetches,
 * :class:`CrossRingRouter` -- gateway-to-gateway fetches for BATs homed
   on another ring, with nomadic query shipping via the section 6.1
   cost bids,
@@ -16,17 +17,18 @@ growing one big one (docs/multiring.md):
   ones and drains idle rings, fed by the pulsating-ring signals,
 * :class:`MultiRingChaosHarness` -- fixed-seed gateway-failure
   scenarios with per-ring invariant checks,
-* :class:`PartitionedFederation` -- the parallel-kernel twin: one
-  simulator per ring, synchronised by conservative lookahead windows
-  (docs/parallel.md), optionally across a worker-process pool.
+* :class:`PartitionedFederation` -- the same query process, retry
+  ladder and gateway serve with one simulator per ring, synchronised by
+  conservative lookahead windows (docs/parallel.md), optionally across
+  a worker-process pool.
 """
 
 from repro.multiring.catalog import GlobalCatalog
 from repro.multiring.chaos import MultiRingChaosHarness, MultiRingChaosResult
 from repro.multiring.config import MultiRingConfig
-from repro.multiring.federation import RingFederation, federated_query_process
+from repro.multiring.federation import RingFederation
 from repro.multiring.parallel import PartitionedFederation
-from repro.multiring.partition import RingPartition, partition_query_process
+from repro.multiring.partition import RingPartition
 from repro.multiring.placement import PlacementManager
 from repro.multiring.router import CrossRingRouter
 from repro.multiring.splitmerge import SplitMergeController
@@ -42,6 +44,4 @@ __all__ = [
     "RingFederation",
     "RingPartition",
     "SplitMergeController",
-    "federated_query_process",
-    "partition_query_process",
 ]

@@ -16,11 +16,12 @@ to a stand-alone deployment (tests/test_multiring_golden.py pins this).
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro.core.query import QuerySpec
+from repro.core.query import QuerySpec, query_process
 from repro.core.ring import DataCyclotron
-from repro.core.runtime import NodeRuntime, PinResult
+from repro.core.runtime import NodeRuntime
 from repro.events import types as ev
 from repro.events.bridge import attach_metrics
 from repro.events.bus import Bus
@@ -28,77 +29,13 @@ from repro.metrics.collector import MetricsCollector
 from repro.multiring.catalog import GlobalCatalog
 from repro.multiring.config import MultiRingConfig
 from repro.multiring.placement import PlacementManager
+from repro.multiring.retry import RetryLadder
 from repro.multiring.router import CrossRingRouter
 from repro.multiring.splitmerge import SplitMergeController
 from repro.sim.engine import Simulator
 from repro.sim.process import Process
 
-__all__ = ["RingFederation", "federated_query_process"]
-
-NODE_CRASHED = "NODE_CRASHED"
-
-
-def federated_query_process(fed: "RingFederation", ring_id: int,
-                            runtime: NodeRuntime, spec: QuerySpec):
-    """The federated twin of :func:`repro.core.query.query_process`.
-
-    Identical pin schedule and lifecycle events; the only difference is
-    a catalog lookup per pin: a BAT homed on this ring goes through the
-    classic ``NodeRuntime.pin``, anything else through the cross-ring
-    router.  The placement manager may move a fragment between the
-    request and the pin -- the catalog is re-read at every step, and a
-    stale S2 entry left by ``request`` is dropped at finish.
-    """
-    bus = runtime.bus
-    sim = runtime.sim
-    if bus.active:
-        bus.publish(ev.QueryRegistered(
-            sim.now, spec.query_id, runtime.node_id, spec.tag
-        ))
-    catalog = fed.catalog
-    local = [
-        b for b in spec.bat_ids
-        if catalog.maybe_home(b) == ring_id and not catalog.is_migrating(b)
-    ]
-    if local:
-        runtime.request(spec.query_id, local)
-    pinned: List[int] = []
-    failed: Optional[str] = None
-    for step in spec.steps:
-        if runtime.crashed:
-            failed = NODE_CRASHED
-            break
-        if step.op_time > 0.0:
-            yield runtime.exec_op(step.op_time)
-            if runtime.crashed:
-                failed = NODE_CRASHED
-                break
-        bat_id = step.bat_id
-        if catalog.maybe_home(bat_id) == ring_id and not catalog.is_migrating(bat_id):
-            fut = runtime.pin(spec.query_id, bat_id)
-            yield fut
-            result: PinResult = fut.value
-            if result.ok:
-                pinned.append(bat_id)
-        else:
-            fut = fed.router.fetch(ring_id, bat_id)
-            yield fut
-            result = fut.value
-        if not result.ok:
-            failed = result.error or "pin failed"
-            break
-        if runtime.crashed:
-            failed = NODE_CRASHED
-            break
-    if failed is None and spec.tail_time > 0.0:
-        yield runtime.exec_op(spec.tail_time)
-        if runtime.crashed:
-            failed = NODE_CRASHED
-    for bat_id in pinned:
-        runtime.unpin(spec.query_id, bat_id)
-    runtime.finish_query(spec.query_id, failed=failed is not None, error=failed or "")
-    fed._note_done(ring_id, spec, failed)
-    return failed
+__all__ = ["RingFederation"]
 
 
 class RingFederation:
@@ -129,29 +66,13 @@ class RingFederation:
                 from repro.resilience.gateway import GatewayGuard
 
                 self.guard = GatewayGuard(self)
-        # nodes whose crash was *announced* on a ring bus (NodeCrashed is
-        # the omniscient-mode fault: publishing it makes the death public
-        # knowledge, so routing around it leaks nothing; silent fail_node
-        # deaths are only learned through each ring's failure detector)
-        self._announced_down: Dict[int, set] = {}
+        self.retries = RetryLadder(self.sim, self.bus, self.config, self._dispatch)
         if self.federated:
-            for _r, _ring in enumerate(self.rings):
-                _ring.bus.subscribe(
-                    ev.NodeCrashed,
-                    lambda e, _r=_r: self._announced_down.setdefault(_r, set()).add(e.node),
-                )
-                _ring.bus.subscribe(
-                    ev.NodeRejoined,
-                    lambda e, _r=_r: self._announced_down.get(_r, set()).discard(e.node),
-                )
+            for ring_id, ring in enumerate(self.rings):
+                self.retries.watch(ring_id, ring)
         self._next_ring = 0
         self._submitted = 0
         self._started = False
-        # federated-mode accounting: logical query id -> "ok" | error
-        self._outcomes: Dict[int, str] = {}
-        self._attempts: Dict[int, int] = {}
-        self._specs: Dict[int, QuerySpec] = {}
-        self._ring_of_query: Dict[int, int] = {}
         self._schedulers: Dict[int, Any] = {}
 
     # ------------------------------------------------------------------
@@ -233,8 +154,7 @@ class RingFederation:
             raise ValueError(f"query {spec.query_id} arrives in the past")
         ring_id, local = self.locate(spec.node)
         ring_id, spec = self._maybe_ship(spec, ring_id, local)
-        self._attempts[spec.query_id] = 1
-        self._specs[spec.query_id] = spec
+        self.retries.begin(ring_id, spec)
         return self._dispatch(ring_id, spec)
 
     def submit_all(self, specs: Iterable[QuerySpec]) -> int:
@@ -326,15 +246,32 @@ class RingFederation:
         ring = self.rings[ring_id]
         if not 0 <= spec.node < ring.config.n_nodes:
             raise ValueError(f"query {spec.query_id} targets invalid node {spec.node}")
-        self._ring_of_query[spec.query_id] = ring_id
         ring._submitted += 1
         runtime = ring.nodes[spec.node]
         delay = max(0.0, spec.arrival - self.sim.now)
         return Process(
-            self.sim,
-            federated_query_process(self, ring_id, runtime, spec),
-            start_delay=delay,
+            self.sim, self._query(ring_id, runtime, spec), start_delay=delay
         )
+
+    def _query(self, ring_id: int, runtime: NodeRuntime, spec: QuerySpec):
+        """One attempt of a query: the classic process plus a catalog
+        lookup per pin.  A BAT homed on this ring goes through the
+        classic ``NodeRuntime.pin``, anything else through the cross-ring
+        router.  The placement manager may move a fragment between the
+        request and the pin; the catalog is re-read at every step, and a
+        stale S2 entry left by ``request`` is dropped at finish.
+        """
+        catalog = self.catalog
+        failed = yield from query_process(
+            runtime,
+            spec,
+            is_local=lambda b: (
+                catalog.maybe_home(b) == ring_id and not catalog.is_migrating(b)
+            ),
+            fetch=partial(self.router.fetch, ring_id),
+        )
+        self._note_done(ring_id, spec, failed)
+        return failed
 
     # ------------------------------------------------------------------
     # completion + federation-level retry
@@ -343,55 +280,13 @@ class RingFederation:
         scheduler = self._schedulers.get(ring_id)
         if scheduler is not None:
             scheduler.query_finished(spec.node)
-        if failed is None:
-            self._outcomes[spec.query_id] = "ok"
-            return
-        base = self.config.base
-        attempt = self._attempts.get(spec.query_id, 1)
-        if base.resilience and attempt < base.retry_max_attempts:
-            self._attempts[spec.query_id] = attempt + 1
-            backoff = min(
-                base.retry_backoff_cap,
-                base.retry_backoff_initial * base.retry_backoff_base ** (attempt - 1),
-            )
-            self.sim.post(backoff, self._retry, spec.query_id, failed)
-            return
-        self._outcomes[spec.query_id] = failed
-        if base.resilience and self.bus.active:
-            self.bus.publish(ev.QueryAbandoned(
-                self.sim.now, spec.query_id, attempt, failed
-            ))
-
-    def _retry(self, query_id: int, error: str) -> None:
-        spec = self._specs[query_id]
-        ring_id = self._ring_of_query[query_id]
-        ring = self.rings[ring_id]
-        # avoid every node whose death is known without injector
-        # knowledge: announced crashes plus detector-confirmed/suspected
-        avoid = set(self._announced_down.get(ring_id, ()))
-        if ring.resilience is not None:
-            avoid |= ring.resilience.known_down | ring.resilience.suspected_targets
-        n = ring.config.n_nodes
-        node = spec.node
-        for step in range(n):
-            candidate = (spec.node + step) % n
-            if candidate not in avoid:
-                node = candidate
-                break
-        retry_spec = replace(spec, node=node, arrival=self.sim.now)
-        self._specs[query_id] = retry_spec
-        if self.bus.active:
-            self.bus.publish(ev.QueryRetried(
-                self.sim.now, query_id, self._attempts[query_id],
-                self.global_node(ring_id, node), error,
-            ))
-        self._dispatch(ring_id, retry_spec)
+        self.retries.settle(spec, failed)
 
     @property
     def completed_queries(self) -> int:
         if not self.federated:
             return sum(r.completed_queries for r in self.rings)
-        return len(self._outcomes)
+        return len(self.retries.outcomes)
 
     @property
     def failed_queries(self) -> int:
@@ -399,7 +294,7 @@ class RingFederation:
             return sum(
                 sum(n.queries_failed for n in r.nodes) for r in self.rings
             )
-        return sum(1 for outcome in self._outcomes.values() if outcome != "ok")
+        return self.retries.failed_queries
 
     def all_terminal(self) -> bool:
         return self.completed_queries >= self._submitted

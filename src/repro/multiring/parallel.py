@@ -1,6 +1,6 @@
 """The partitioned federation facade (docs/parallel.md).
 
-A :class:`PartitionedFederation` is the parallel-kernel twin of
+A :class:`PartitionedFederation` is the parallel-kernel form of
 :class:`~repro.multiring.federation.RingFederation`: the same
 :class:`~repro.multiring.config.MultiRingConfig`, the same global node
 addressing and round-robin BAT placement, the same gateway fetch/serve

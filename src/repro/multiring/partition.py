@@ -4,9 +4,11 @@ A :class:`RingPartition` is one classic :class:`~repro.core.ring.
 DataCyclotron` on its **own** simulator clock, plus the minimum
 federation surface the partitioned kernel supports: the gateway
 fetch/serve protocol of :mod:`repro.multiring.router`, re-expressed as
-timestamped cross-partition messages.
+timestamped cross-partition messages.  Queries run the classic
+:func:`~repro.core.query.query_process` and retry through the shared
+:class:`~repro.multiring.retry.RetryLadder`.
 
-Scope (docs/parallel.md): the partitioned twin covers **static data
+Scope (docs/parallel.md): the partitioned kernel covers **static data
 placement with cross-ring fetches** -- the workload the federation
 benchmarks measure.  The placement manager, split/merge controller and
 nomadic query shipping all move state *between* rings mid-run; they stay
@@ -27,16 +29,21 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-from dataclasses import replace
 from typing import Any, Dict, List, Optional
 
-from repro.core.query import QuerySpec
+from repro.core.query import QuerySpec, query_process
 from repro.core.ring import DataCyclotron
-from repro.core.runtime import NodeRuntime, PinResult
+from repro.core.runtime import DATA_UNAVAILABLE, NodeRuntime, PinResult
 from repro.events import types as ev
 from repro.multiring.config import MultiRingConfig
 from repro.multiring.messages import FetchReply, FetchRequest
-from repro.multiring.router import DATA_UNAVAILABLE, SERVICE_ID_BASE, _Fetch
+from repro.multiring.retry import RetryLadder
+from repro.multiring.router import (
+    SERVICE_ID_BASE,
+    _Fetch,
+    reply_wire_size,
+    serve_fetch,
+)
 from repro.net.channel import Channel
 from repro.sim.parallel import CrossPartitionMessage
 from repro.sim.process import Future, Process
@@ -46,10 +53,8 @@ __all__ = [
     "RingPartition",
     "StreamDigest",
     "attach_stream_digest",
-    "partition_query_process",
 ]
 
-NODE_CRASHED = "NODE_CRASHED"
 INFINITY = float("inf")
 
 
@@ -97,70 +102,6 @@ def attach_stream_digest(bus) -> StreamDigest:
 
 
 # ----------------------------------------------------------------------
-# the federated-lite query process
-# ----------------------------------------------------------------------
-def partition_query_process(
-    part: "RingPartition", runtime: NodeRuntime, spec: QuerySpec, remote: bool
-):
-    """The partitioned twin of :func:`~repro.multiring.federation.
-    federated_query_process`: identical pin schedule and lifecycle
-    events, with the catalog frozen at build time (no migration).  For
-    an all-local spec the emitted stream is bit-identical to the classic
-    :func:`~repro.core.query.query_process`.
-    """
-    bus = runtime.bus
-    sim = runtime.sim
-    if remote:
-        part._note_x_start()
-    if bus.active:
-        bus.publish(ev.QueryRegistered(
-            sim.now, spec.query_id, runtime.node_id, spec.tag
-        ))
-    home = part.home
-    ring_id = part.ring_id
-    local = [b for b in spec.bat_ids if home.get(b, ring_id) == ring_id]
-    if local:
-        runtime.request(spec.query_id, local)
-    pinned: List[int] = []
-    failed: Optional[str] = None
-    for step in spec.steps:
-        if runtime.crashed:
-            failed = NODE_CRASHED
-            break
-        if step.op_time > 0.0:
-            yield runtime.exec_op(step.op_time)
-            if runtime.crashed:
-                failed = NODE_CRASHED
-                break
-        bat_id = step.bat_id
-        if home.get(bat_id, ring_id) == ring_id:
-            fut = runtime.pin(spec.query_id, bat_id)
-            yield fut
-            result: PinResult = fut.value
-            if result.ok:
-                pinned.append(bat_id)
-        else:
-            fut = part.router.fetch(bat_id)
-            yield fut
-            result = fut.value
-        if not result.ok:
-            failed = result.error or "pin failed"
-            break
-        if runtime.crashed:
-            failed = NODE_CRASHED
-            break
-    if failed is None and spec.tail_time > 0.0:
-        yield runtime.exec_op(spec.tail_time)
-        if runtime.crashed:
-            failed = NODE_CRASHED
-    for bat_id in pinned:
-        runtime.unpin(spec.query_id, bat_id)
-    runtime.finish_query(spec.query_id, failed=failed is not None, error=failed or "")
-    part._note_done(spec, failed, remote)
-    return failed
-
-
-# ----------------------------------------------------------------------
 # the per-partition fetch/serve protocol
 # ----------------------------------------------------------------------
 class PartitionRouter:
@@ -170,8 +111,9 @@ class PartitionRouter:
     CrossRingRouter` -- absorption of concurrent fetches for the same
     BAT, the resend-timer discipline, ``DATA_UNAVAILABLE`` after the
     resend budget -- minus everything that assumes a shared clock or a
-    mutable catalog.  The serving side runs the identical request/pin
-    protocol inside the home ring, on a round-robin gateway.
+    mutable catalog.  The serving side runs the shared serve body
+    (:func:`~repro.multiring.router.serve_fetch`) inside the home ring,
+    on a round-robin gateway.
     """
 
     def __init__(self, part: "RingPartition"):
@@ -282,35 +224,14 @@ class PartitionRouter:
         part._xserves += 1
 
         def serve_proc():
-            if runtime.crashed:
-                part._xserves -= 1
-                return  # a dead gateway answers nobody
-            runtime.request(service_id, [req.bat_id])
-            fut = runtime.pin(service_id, req.bat_id)
-            yield fut
-            result: PinResult = fut.value
-            if result.ok:
-                runtime.unpin(service_id, req.bat_id)
-            # manual teardown: a fetch service is not a query, so it must
-            # not publish query-lifecycle events (finish_query would)
-            runtime.s3.drop_query(service_id)
-            for bat_id in runtime.s2.drop_query(service_id):
-                runtime._cancel_resend(bat_id)
-            if runtime.crashed and not result.ok:
-                part._xserves -= 1
-                return
-            reply = FetchReply(
-                req.req_id, req.bat_id, ok=result.ok,
-                payload=result.payload, version=result.version,
-                size=part.sizes.get(req.bat_id, 0),
-                error=result.error or "",
-            )
-            wire = (
-                reply.size + self.config.base.bat_header_size
-                if result.ok
-                else self.config.base.request_message_size
-            )
-            part.send_cross(req.from_ring, reply, wire)
+            if not runtime.crashed:  # a dead gateway answers nobody
+                reply = yield from serve_fetch(
+                    runtime, service_id, req, part.sizes.get(req.bat_id, 0)
+                )
+                if reply.ok or not runtime.crashed:
+                    part.send_cross(
+                        req.from_ring, reply, reply_wire_size(reply, self.config.base)
+                    )
             part._xserves -= 1
 
         Process(self.sim, serve_proc())
@@ -381,11 +302,11 @@ class RingPartition:
         self._xactive = 0   # remote-touching queries currently running
         self._xserves = 0   # serves between request arrival and reply send
         self._xinbound = 0  # delivered cross messages not yet fired
-        # --- query accounting (mirrors RingFederation) ---
+        self.retries = RetryLadder(
+            self.sim, self.bus, config, lambda _ring_id, spec: self._dispatch(spec)
+        )
+        self.retries.watch(ring_id, self.dc)
         self._submitted = 0
-        self._outcomes: Dict[int, str] = {}
-        self._attempts: Dict[int, int] = {}
-        self._specs: Dict[int, QuerySpec] = {}
         self._started = False
 
     # ------------------------------------------------------------------
@@ -403,16 +324,16 @@ class RingPartition:
     def submit(self, spec: QuerySpec) -> Process:
         """Submit one query addressed to a *local* node index."""
         self._submitted += 1
-        self._attempts[spec.query_id] = 1
-        self._specs[spec.query_id] = spec
+        self.retries.begin(self.ring_id, spec)
         if self._is_remote(spec):
             heapq.heappush(self._xarrivals, spec.arrival)
         return self._dispatch(spec)
 
+    def _is_local(self, bat_id: int) -> bool:
+        return self.home.get(bat_id, self.ring_id) == self.ring_id
+
     def _is_remote(self, spec: QuerySpec) -> bool:
-        home = self.home
-        ring_id = self.ring_id
-        return any(home.get(b, ring_id) != ring_id for b in spec.bat_ids)
+        return not all(self._is_local(b) for b in spec.bat_ids)
 
     def _dispatch(self, spec: QuerySpec) -> Process:
         runtime = self.dc.nodes[spec.node]
@@ -420,66 +341,32 @@ class RingPartition:
         delay = max(0.0, spec.arrival - self.sim.now)
         return Process(
             self.sim,
-            partition_query_process(self, runtime, spec, self._is_remote(spec)),
+            self._query(runtime, spec, self._is_remote(spec)),
             start_delay=delay,
         )
 
-    # ------------------------------------------------------------------
-    # query bookkeeping (the federation-level retry ladder, per ring)
-    # ------------------------------------------------------------------
-    def _note_x_start(self) -> None:
-        # starts happen in time order, so the started query always owns
-        # the smallest queued arrival (ties carry equal values)
-        heapq.heappop(self._xarrivals)
-        self._xactive += 1
+    def _query(self, runtime: NodeRuntime, spec: QuerySpec, remote: bool):
+        """One attempt of a query, with the EOT bound's bookkeeping.
 
-    def _note_done(self, spec: QuerySpec, failed: Optional[str], remote: bool) -> None:
+        The catalog is frozen at build time (no migration), so an
+        all-local spec emits a stream bit-identical to the classic ring.
+        """
+        if remote:
+            # starts happen in time order, so the started query always
+            # owns the smallest queued arrival (ties carry equal values)
+            heapq.heappop(self._xarrivals)
+            self._xactive += 1
+        failed = yield from query_process(
+            runtime, spec, is_local=self._is_local, fetch=self.router.fetch
+        )
         if remote:
             self._xactive -= 1
-        if failed is None:
-            self._outcomes[spec.query_id] = "ok"
-            return
-        base = self.config.base
-        attempt = self._attempts.get(spec.query_id, 1)
-        if base.resilience and attempt < base.retry_max_attempts:
-            self._attempts[spec.query_id] = attempt + 1
-            backoff = min(
-                base.retry_backoff_cap,
-                base.retry_backoff_initial * base.retry_backoff_base ** (attempt - 1),
-            )
-            if remote:
-                # the retry will touch remote data again: keep the EOT
-                # bound honest across the backoff gap
-                heapq.heappush(self._xarrivals, self.sim.now + backoff)
-            self.sim.post(backoff, self._retry, spec.query_id, failed)
-            return
-        self._outcomes[spec.query_id] = failed
-        if base.resilience and self.bus.active:
-            self.bus.publish(ev.QueryAbandoned(
-                self.sim.now, spec.query_id, attempt, failed
-            ))
-
-    def _retry(self, query_id: int, error: str) -> None:
-        spec = self._specs[query_id]
-        ring = self.dc
-        avoid = set()
-        if ring.resilience is not None:
-            avoid |= ring.resilience.known_down | ring.resilience.suspected_targets
-        n = ring.config.n_nodes
-        node = spec.node
-        for step in range(n):
-            candidate = (spec.node + step) % n
-            if candidate not in avoid:
-                node = candidate
-                break
-        retry_spec = replace(spec, node=node, arrival=self.sim.now)
-        self._specs[query_id] = retry_spec
-        if self.bus.active:
-            self.bus.publish(ev.QueryRetried(
-                self.sim.now, query_id, self._attempts[query_id],
-                self.ring_id * self.config.nodes_per_ring + node, error,
-            ))
-        self._dispatch(retry_spec)
+        backoff = self.retries.settle(spec, failed)
+        if remote and backoff is not None:
+            # the retry will touch remote data again: keep the EOT bound
+            # honest across the backoff gap
+            heapq.heappush(self._xarrivals, self.sim.now + backoff)
+        return failed
 
     # ------------------------------------------------------------------
     # cross-partition plumbing
@@ -581,7 +468,7 @@ class RingPartition:
 
     @property
     def completed(self) -> int:
-        return len(self._outcomes)
+        return len(self.retries.outcomes)
 
     @property
     def submitted(self) -> int:
@@ -592,8 +479,8 @@ class RingPartition:
             "ring": self.ring_id,
             "nodes": self.dc.config.n_nodes,
             "submitted": self._submitted,
-            "completed": len(self._outcomes),
-            "failed": sum(1 for o in self._outcomes.values() if o != "ok"),
+            "completed": len(self.retries.outcomes),
+            "failed": self.retries.failed_queries,
             "queries_finished": sum(n.queries_finished for n in self.dc.nodes),
             "events_processed": self.sim.processed,
             "events_dispatched": self.sim.dispatched,

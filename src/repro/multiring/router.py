@@ -20,20 +20,19 @@ migration -- simply re-dispatches to the new home.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple
 
-from repro.core.runtime import PinResult
+from repro.core.runtime import DATA_UNAVAILABLE, NodeRuntime, PinResult
 from repro.events import types as ev
 from repro.multiring.messages import FetchReply, FetchRequest, MigrationShipment
 from repro.net.channel import Channel
 from repro.sim.process import Future, Process
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.config import DataCyclotronConfig
     from repro.multiring.federation import RingFederation
 
-__all__ = ["CrossRingRouter"]
-
-DATA_UNAVAILABLE = "DATA_UNAVAILABLE"
+__all__ = ["CrossRingRouter", "reply_wire_size", "serve_fetch"]
 
 # Gateway fetch services borrow a node's S2/S3 under ids that can never
 # collide with workload queries (which are non-negative) or with the
@@ -59,6 +58,40 @@ class _Fetch:
         self.resends = 0
         self.waiters: List[Future] = []
         self.timer = None
+
+
+def serve_fetch(
+    runtime: NodeRuntime, service_id: int, req: FetchRequest, size: int
+) -> Generator:
+    """The serve body of a gateway: request, pin and release one BAT.
+
+    Runs the classic request/pin protocol inside the home ring under the
+    borrowed ``service_id`` and returns the :class:`FetchReply` to send
+    back (``size`` is the BAT's size).  Both routers run it; each keeps
+    its own crash handling around it and its own reply path.
+    """
+    runtime.request(service_id, [req.bat_id])
+    fut = runtime.pin(service_id, req.bat_id)
+    yield fut
+    result: PinResult = fut.value
+    if result.ok:
+        runtime.unpin(service_id, req.bat_id)
+    # manual teardown: a fetch service is not a query, so it must not
+    # publish query-lifecycle events (finish_query would)
+    runtime.s3.drop_query(service_id)
+    for bat_id in runtime.s2.drop_query(service_id):
+        runtime._cancel_resend(bat_id)
+    return FetchReply(
+        req.req_id, req.bat_id, ok=result.ok, payload=result.payload,
+        version=result.version, size=size, error=result.error or "",
+    )
+
+
+def reply_wire_size(reply: FetchReply, base: "DataCyclotronConfig") -> int:
+    """Bytes a reply occupies on the inter-ring link."""
+    return (
+        reply.size + base.bat_header_size if reply.ok else base.request_message_size
+    )
 
 
 class CrossRingRouter:
@@ -275,38 +308,21 @@ class CrossRingRouter:
             req, gateway, service_id
         )
 
+        size = self.catalog.size(req.bat_id) if req.bat_id in self.catalog else 0
+
         def serve():
             if runtime.crashed:
                 return  # stays pending: handoff or requester timeout
-            runtime.request(service_id, [req.bat_id])
-            fut = runtime.pin(service_id, req.bat_id)
-            yield fut
-            result: PinResult = fut.value
-            if result.ok:
-                runtime.unpin(service_id, req.bat_id)
-            # manual teardown: a fetch service is not a query, so it must
-            # not publish query-lifecycle events (finish_query would)
-            runtime.s3.drop_query(service_id)
-            for bat_id in runtime.s2.drop_query(service_id):
-                runtime._cancel_resend(bat_id)
-            if runtime.crashed and not result.ok:
+            reply = yield from serve_fetch(runtime, service_id, req, size)
+            if runtime.crashed and not reply.ok:
                 return  # stays pending: a dead gateway answers nobody
             self._serve_done(home_ring, req.req_id, service_id)
-            reply = FetchReply(
-                req.req_id, req.bat_id, ok=result.ok,
-                payload=result.payload, version=result.version,
-                size=self.catalog.size(req.bat_id) if req.bat_id in self.catalog else 0,
-                error=result.error or "",
-            )
             if local:
                 self._on_reply(req.from_ring, reply)
             else:
-                wire = (
-                    reply.size + self.config.base.bat_header_size
-                    if result.ok
-                    else self.config.base.request_message_size
+                self.link(home_ring, req.from_ring).send(
+                    reply, reply_wire_size(reply, self.config.base)
                 )
-                self.link(home_ring, req.from_ring).send(reply, wire)
 
         Process(self.sim, serve())
         return gateway

@@ -115,3 +115,18 @@ def test_zero_op_times_allowed():
     dc.submit(spec)
     assert dc.run_until_done(max_time=30.0)
     assert dc.metrics.finished_count() == 1
+
+
+def test_crash_during_tail_fails_the_query():
+    from repro.events import types as ev
+
+    dc = build_dc(n_nodes=3, bats={1: MB}, owners={1: 0})
+    outcomes = []
+    dc.bus.subscribe_many([ev.QueryFinished, ev.QueryFailed], outcomes.append)
+    dc.submit(QuerySpec(query_id=0, node=0, arrival=0.0, steps=[PinStep(1)],
+                        tail_time=1.0))
+    dc.sim.schedule(0.5, dc.nodes[0].crash)  # mid-tail: the BAT is local
+    assert dc.run_until_done(max_time=30.0)
+    assert len(outcomes) == 1
+    assert isinstance(outcomes[0], ev.QueryFailed)
+    assert outcomes[0].error == "NODE_CRASHED"

@@ -15,6 +15,7 @@ from repro.events import types as ev
 from repro.multiring import (
     GlobalCatalog,
     MultiRingConfig,
+    PartitionedFederation,
     RingFederation,
 )
 
@@ -35,9 +36,9 @@ def small_config(**overrides) -> MultiRingConfig:
     return MultiRingConfig(**defaults)
 
 
-def populate(fed: RingFederation, n_bats: int = 12) -> None:
+def populate(fed, n_bats: int = 12) -> None:
     for bat_id in range(n_bats):
-        fed.add_bat(bat_id, MB, ring=bat_id % len(fed.active_rings))
+        fed.add_bat(bat_id, MB, ring=bat_id % fed.config.n_rings)
 
 
 # ----------------------------------------------------------------------
@@ -332,21 +333,30 @@ class TestPulsatingEvents:
 # federated retry
 # ----------------------------------------------------------------------
 class TestFederatedRetry:
-    def test_query_on_crashed_node_is_retried_elsewhere(self):
+    @pytest.mark.parametrize("partitioned", [False, True],
+                             ids=["shared-clock", "partitioned"])
+    def test_query_on_crashed_node_is_retried_elsewhere(self, partitioned):
         config = small_config()
         config.base.resilience = True
         config.base.replication_k = 2
-        fed = RingFederation(config)
+        if partitioned:
+            fed = PartitionedFederation(config, workers=1)
+            ring, bus = fed.partitions[0].dc, fed.partitions[0].bus
+        else:
+            fed = RingFederation(config)
+            ring, bus = fed.rings[0], fed.bus
         populate(fed)
         retried = []
-        fed.bus.subscribe(ev.QueryRetried, retried.append)
-        fed.sim.schedule(0.5, fed.rings[0].crash_node, 1)
+        bus.subscribe(ev.QueryRetried, retried.append)
+        ring.sim.schedule(0.5, ring.crash_node, 1)
         # arrives on the already-dead node; the federation re-routes it
         fed.submit(QuerySpec.simple(1, node=1, arrival=1.0,
                                     bat_ids=[0], processing_times=[0.01]))
         assert fed.run_until_done(max_time=120.0)
-        assert fed.failed_queries == 0
+        assert fed.summary()["failed"] == 0
+        # the retry went to a live node, not back onto the dead one
         assert retried and all(r.query_id == 1 for r in retried)
+        assert all(r.node != 1 for r in retried)
 
     def test_exhausted_retries_publish_query_abandoned(self):
         config = small_config()
