@@ -4,10 +4,12 @@ Two checks, both hard failures:
 
 1. **Determinism** -- a quick 4-ring partitioned run with live
    cross-ring fetch traffic must produce bit-identical per-ring event
-   digests with ``workers=2`` and ``workers=1``.  This is the same
-   contract tests/test_parallel_equivalence.py pins at 2 rings; running
-   it here at 4 rings keeps the pool path exercised on every push with
-   a topology where worker slices hold more than one partition each.
+   digests and the same ``kernel_rounds`` with ``workers=2`` and
+   ``workers=3`` as with ``workers=1``.  This is the same contract
+   tests/test_parallel_equivalence.py pins at 2 rings; running it here
+   at 4 rings keeps the pool path exercised on every push with even
+   slices of two partitions, uneven slices (2/1/1) and three pairwise
+   peer pipes.
 2. **Fast-forward regression** (``--bench PATH``) -- the committed
    ``BENCH_core.json`` must record a federation fast-forward speedup
    >= 1.0.  The 0.9x era is over; a change that makes the fast path a
@@ -81,23 +83,34 @@ def _run(workers: int) -> tuple:
 
 def check_determinism() -> bool:
     done1, total, d1, s1 = _run(workers=1)
-    done2, _, d2, s2 = _run(workers=2)
-    if not (done1 and done2):
+    if not done1:
         print(f"FAIL determinism: run did not complete ({total} queries)")
         return False
     if s1["fetches_served"] == 0:
         print("FAIL determinism: workload produced no cross-ring traffic")
         return False
-    if d1 != d2:
-        for i, (a, b) in enumerate(zip(d1, d2)):
-            marker = "==" if a == b else "!="
-            print(f"  ring {i}: {a[:16]} {marker} {b[:16]}")
-        print("FAIL determinism: workers=2 trace diverged from workers=1")
-        return False
+    for workers in (2, 3):
+        done, _, d, s = _run(workers=workers)
+        if not done:
+            print(f"FAIL determinism: workers={workers} run did not complete")
+            return False
+        if d != d1:
+            for i, (a, b) in enumerate(zip(d1, d)):
+                marker = "==" if a == b else "!="
+                print(f"  ring {i}: {a[:16]} {marker} {b[:16]}")
+            print(f"FAIL determinism: workers={workers} trace diverged from workers=1")
+            return False
+        if s["kernel_rounds"] != s1["kernel_rounds"]:
+            print(
+                f"FAIL determinism: workers={workers} ran {s['kernel_rounds']} "
+                f"windows, workers=1 ran {s1['kernel_rounds']}"
+            )
+            return False
     print(
         f"OK determinism: {N_RINGS} rings, {total} queries, "
         f"{s1['fetches_served']} cross-ring serves, "
-        f"{s1['kernel_rounds']} rounds -- workers=2 digests == workers=1"
+        f"{s1['kernel_rounds']} rounds -- workers=2 and workers=3 "
+        f"digests and rounds == workers=1"
     )
     return True
 

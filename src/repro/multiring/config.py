@@ -18,11 +18,11 @@ bit-identical to the classic deployment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Iterable, Optional, Sequence, Tuple
 
 from repro.core.config import DataCyclotronConfig
 
-__all__ = ["MultiRingConfig"]
+__all__ = ["MultiRingConfig", "derived_fetch_timeout"]
 
 
 @dataclass
@@ -121,3 +121,27 @@ class MultiRingConfig:
             if self.inter_ring_delay is not None
             else self.base.link_delay
         )
+
+
+def derived_fetch_timeout(
+    config: MultiRingConfig,
+    rings: Iterable[Tuple[DataCyclotronConfig, Sequence[int]]],
+    sizes: Sequence[int],
+) -> float:
+    """Remote-serve bound: rotations of the slowest ring + the hop.
+
+    ``rings`` pairs each ring's configuration with the sizes of the BATs
+    it homes; ``sizes`` holds every BAT's size.  Mirrors the reasoning
+    of ``derived_resend_timeout`` one level up: a remote fetch needs the
+    home ring to load and rotate the BAT to its gateway (up to a few
+    loaded rotations under competition), plus two link traversals for
+    request and reply.  Both federation facades derive their default
+    ``fetch_timeout`` here.
+    """
+    worst = 0.0
+    for ring_config, homed in rings:
+        mean = sum(homed) / len(homed) if homed else 1024 * 1024
+        worst = max(worst, ring_config.derived_resend_timeout(mean))
+    mean_bat = sum(sizes) / max(1, len(sizes))
+    hop = config.link_delay() + mean_bat / config.link_bandwidth()
+    return 3.0 * worst + 2.0 * hop

@@ -27,7 +27,7 @@ from repro.events.bridge import attach_metrics
 from repro.events.bus import Bus
 from repro.metrics.collector import MetricsCollector
 from repro.multiring.catalog import GlobalCatalog
-from repro.multiring.config import MultiRingConfig
+from repro.multiring.config import MultiRingConfig, derived_fetch_timeout
 from repro.multiring.placement import PlacementManager
 from repro.multiring.retry import RetryLadder
 from repro.multiring.router import CrossRingRouter
@@ -312,30 +312,17 @@ class RingFederation:
             if self.config.fetch_timeout is not None:
                 self.router.fetch_timeout = self.config.fetch_timeout
             else:
-                self.router.fetch_timeout = self._derived_fetch_timeout()
+                catalog = self.catalog
+                self.router.fetch_timeout = derived_fetch_timeout(
+                    self.config,
+                    [
+                        (self.rings[r].config, [catalog.size(b) for b in catalog.bats_on(r)])
+                        for r in self.active_rings
+                    ],
+                    [catalog.size(b) for b in catalog.bat_ids],
+                )
             self.placement.start()
             self.splitmerge.start()
-
-    def _derived_fetch_timeout(self) -> float:
-        """Remote-serve bound: rotations of the slowest ring + the hop.
-
-        Mirrors the reasoning of ``derived_resend_timeout`` one level
-        up: a remote fetch needs the home ring to load and rotate the
-        BAT to its gateway (up to a few loaded rotations under
-        competition), plus two link traversals for request and reply.
-        """
-        worst = 0.0
-        for ring_id in self.active_rings:
-            ring = self.rings[ring_id]
-            sizes = [self.catalog.size(b) for b in self.catalog.bats_on(ring_id)]
-            mean = sum(sizes) / len(sizes) if sizes else 1024 * 1024
-            worst = max(worst, ring.config.derived_resend_timeout(mean))
-        mean_bat = (
-            sum(self.catalog.size(b) for b in self.catalog.bat_ids)
-            / max(1, len(self.catalog))
-        )
-        hop = self.config.link_delay() + mean_bat / self.config.link_bandwidth()
-        return 3.0 * worst + 2.0 * hop
 
     def run(self, until: float) -> None:
         self._start()

@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.core.query import QuerySpec
 from repro.events.bus import Bus
-from repro.multiring.config import MultiRingConfig
+from repro.multiring.config import MultiRingConfig, derived_fetch_timeout
 from repro.multiring.partition import RingPartition
 from repro.sim.parallel import INFINITY, ParallelKernel
 from repro.sim.process import Process
@@ -112,8 +112,8 @@ class PartitionedFederation:
             raise ValueError(
                 f"query {spec.query_id} references unknown BATs {unknown}"
             )
-        if spec.arrival < self.kernel.now:
-            raise ValueError(f"query {spec.query_id} arrives in the past")
+        if self._started:
+            raise RuntimeError("cannot submit queries after the kernel started")
         ring_id, local = self.locate(spec.node)
         self._submitted += 1
         return self.partitions[ring_id].submit(replace(spec, node=local))
@@ -136,22 +136,17 @@ class PartitionedFederation:
             part.start()
         timeout = self.config.fetch_timeout
         if timeout is None:
-            timeout = self._derived_fetch_timeout()
+            timeout = derived_fetch_timeout(
+                self.config,
+                [
+                    (part.dc.config,
+                     [self.sizes[b] for b, home in self.catalog.items() if home == ring])
+                    for ring, part in enumerate(self.partitions)
+                ],
+                list(self.sizes.values()),
+            )
         for part in self.partitions:
             part.fetch_timeout = timeout
-
-    def _derived_fetch_timeout(self) -> float:
-        """Mirror of ``RingFederation._derived_fetch_timeout``."""
-        worst = 0.0
-        for ring_id, part in enumerate(self.partitions):
-            sizes = [
-                self.sizes[b] for b, home in self.catalog.items() if home == ring_id
-            ]
-            mean = sum(sizes) / len(sizes) if sizes else 1024 * 1024
-            worst = max(worst, part.dc.config.derived_resend_timeout(mean))
-        mean_bat = sum(self.sizes.values()) / max(1, len(self.sizes))
-        hop = self.config.link_delay() + mean_bat / self.config.link_bandwidth()
-        return 3.0 * worst + 2.0 * hop
 
     def run(self, until: float) -> None:
         self._start()

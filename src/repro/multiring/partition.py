@@ -450,7 +450,7 @@ class RingPartition:
         else:
             bound, base = "idle", INFINITY
         eot = base + lookahead if base != INFINITY else INFINITY
-        if self.bus.active:
+        if self.bus.wants(ev.TimeGrantIssued):
             self.bus.publish(ev.TimeGrantIssued(now, self.ring_id, eot, bound))
         return eot
 

@@ -117,6 +117,26 @@ class TestConfigAndTopology:
         fed.deactivate_ring(2)
         assert fed.active_rings == [0, 1]
 
+    def test_both_facades_derive_the_same_fetch_timeout(self):
+        shared, partitioned = RingFederation(small_config()), PartitionedFederation(
+            small_config()
+        )
+        for fed in (shared, partitioned):
+            for bat_id, size in enumerate([MB, 3 * MB, 777_777]):
+                fed.add_bat(bat_id, size)
+            fed.run(0.0)
+        timeout = shared.router.fetch_timeout
+        assert timeout > 2 * small_config().link_delay()
+        assert all(p.fetch_timeout == timeout for p in partitioned.partitions)
+
+    def test_partitioned_federation_refuses_queries_after_start(self):
+        fed = PartitionedFederation(small_config())
+        populate(fed)
+        fed.run(0.1)
+        with pytest.raises(RuntimeError):
+            fed.submit(QuerySpec.simple(1, node=0, arrival=0.5, bat_ids=[0],
+                                        processing_times=[0.01]))
+
 
 # ----------------------------------------------------------------------
 # cross-ring fetches

@@ -159,6 +159,29 @@ class FakePartition:
         return None
 
 
+class BulkPartition(FakePartition):
+    """A fake partition whose messages carry a 2 KB payload each."""
+
+    def _emit(self, t, dst):
+        super()._emit(t, dst)
+        self._outbox[-1].payload = f"{self._emitted}:" + "x" * 2048
+
+
+def _run_kernel(parts, workers, stops):
+    """Run ``parts`` through ``stops``; returns the delivery logs, the
+    kernel's round and message counts, and the synced windows."""
+    bus = Bus()
+    synced = []
+    bus.subscribe(ev.PartitionSynced, synced.append)
+    kernel = ParallelKernel(parts, lookahead=LOOKAHEAD, workers=workers, bus=bus)
+    for until in stops:
+        kernel.run(until)
+    results = kernel.finish()
+    logs = [results[i][0]["log"] for i in sorted(results)]
+    windows = [(s.window, s.messages) for s in synced]
+    return logs, kernel.rounds, kernel.messages_exchanged, windows
+
+
 class TestKernelProtocol:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -217,14 +240,45 @@ class TestKernelProtocol:
             c = FakePartition(2, sends=[(2.4, 0)])
             return [a, b, c]
 
-        logs = {}
-        for workers in (1, 2, 3):
-            parts = build()
-            kernel = ParallelKernel(parts, lookahead=LOOKAHEAD, workers=workers)
-            kernel.run(5.0)
-            results = kernel.finish()
-            logs[workers] = [results[i][0]["log"] for i in sorted(results)]
-        assert logs[1] == logs[2] == logs[3]
+        runs = {workers: _run_kernel(build(), workers, (2.0, 5.0))
+                for workers in (1, 2, 3)}
+        assert runs[1] == runs[2] == runs[3]
+        logs, rounds, messages, windows = runs[1]
+        assert messages == 5 and rounds == len(windows)
+
+    def test_uneven_slices_match_the_inline_run(self):
+        # 5 partitions on 3 workers: slices of 2, 2 and 1
+        def build():
+            return [
+                FakePartition(i, sends=[(0.3 * (i + 1), (i + 1) % 5),
+                                        (1.1 + 0.2 * i, (i + 3) % 5)])
+                for i in range(5)
+            ]
+
+        inline = _run_kernel(build(), 1, (1.0, 4.0))
+        assert inline[2] == 10
+        assert _run_kernel(build(), 3, (1.0, 4.0)) == inline
+
+    def test_a_window_that_moves_many_messages_does_not_block_the_pool(self):
+        # each worker sends its peers far more than a socket buffer holds
+        # in one window
+        def build():
+            return [BulkPartition(i, [(1.0, (i + 1) % 4)] * 150) for i in range(4)]
+
+        inline = _run_kernel(build(), 1, (3.0,))
+        assert inline[2] == 600
+        assert _run_kernel(build(), 2, (3.0,)) == inline
+        assert _run_kernel(build(), 3, (3.0,)) == inline
+
+    def test_next_edge_is_clamped_after_a_window_with_messages(self):
+        # The sender's only emission is at 1.0, so every partition grants
+        # infinity after the first window; the message that crossed in it
+        # still clamps the next edge to edge + lookahead.
+        for workers in (1, 2):
+            parts = [FakePartition(0, sends=[(1.0, 1)]), FakePartition(1)]
+            _logs, rounds, messages, windows = _run_kernel(parts, workers, (10.0,))
+            assert windows == [(1.5, 0), (1.5 + LOOKAHEAD, 1), (10.0, 0)]
+            assert (rounds, messages) == (3, 1)
 
     def test_partition_synced_published_per_round(self):
         bus = Bus()
@@ -287,6 +341,21 @@ class TestRingPartitionGrants:
         for g in grants:
             assert g.eot == float("inf") or g.eot >= g.t + lookahead
 
+    def test_one_grant_per_partition_per_window(self):
+        # the first window's grant at t=0, then one after each window's run
+        fed = self._build()
+        grant_times = {part.ring_id: [] for part in fed.partitions}
+        for part in fed.partitions:
+            part.bus.subscribe(
+                ev.TimeGrantIssued, lambda g: grant_times[g.partition].append(g.t)
+            )
+        synced = []
+        fed.bus.subscribe(ev.PartitionSynced, synced.append)
+        assert fed.run_until_done(max_time=20.0)
+        edges = [0.0] + [s.window for s in synced]
+        assert len(edges) == fed.kernel.rounds + 1
+        assert all(times == edges for times in grant_times.values())
+
     def test_cross_ring_fetch_served(self):
         fed = self._build()
         assert fed.run_until_done(max_time=20.0)
@@ -295,3 +364,73 @@ class TestRingPartitionGrants:
         assert summary["failed"] == 0
         assert summary["fetches_served"] == 1
         assert summary["kernel_messages"] >= 2  # request + reply
+
+
+class TestDeadWorker:
+    """A pool worker killed mid-run fails the run loudly, never hangs."""
+
+    WORKERS = 3
+
+    def _build(self):
+        import random
+
+        from repro.core.config import DataCyclotronConfig
+        from repro.core.query import QuerySpec
+        from repro.multiring import MultiRingConfig, PartitionedFederation
+
+        cfg = MultiRingConfig(
+            base=DataCyclotronConfig(n_nodes=4, seed=5, fast_forward=True),
+            n_rings=8, nodes_per_ring=4, splitmerge_interval=0.0,
+            inter_ring_delay=0.002,
+        )
+        fed = PartitionedFederation(cfg, workers=self.WORKERS)
+        for bat_id in range(16):
+            fed.add_bat(bat_id, size=1 << 20)
+        rng = random.Random(5)
+        specs = []
+        for qid in range(2000):
+            node = rng.randrange(fed.total_nodes)
+            bats = [rng.randrange(16), rng.randrange(16)]
+            specs.append(QuerySpec.simple(
+                qid, node, arrival=qid * 0.05, bat_ids=bats,
+                processing_times=[0.002, 0.002],
+            ))
+        fed.submit_all(specs)
+        return fed
+
+    @pytest.mark.parametrize("victim", range(WORKERS))
+    def test_killed_worker_fails_the_run_and_close_reaps_the_pool(self, victim):
+        import os
+        import signal
+        import threading
+        import time
+
+        fed = self._build()
+        fed.run(0.1)  # fork the pool before the timer threads exist
+        procs = [proc for proc, _conn in fed.kernel._pool]
+
+        def kill_all():  # a hung run fails the test instead of hanging it
+            for proc in procs:
+                if proc.is_alive():
+                    os.kill(proc.pid, signal.SIGKILL)
+
+        timer = threading.Timer(0.5, os.kill, (procs[victim].pid, signal.SIGKILL))
+        watchdog = threading.Timer(10.0, kill_all)
+        timer.start()
+        watchdog.start()
+        started = time.monotonic()
+        try:
+            with pytest.raises(RuntimeError, match="pool worker"):
+                fed.run(100.0)  # runs for seconds unless a worker dies
+            assert time.monotonic() - started < 10.0
+        finally:
+            timer.cancel()
+            watchdog.cancel()
+            fed.close()
+        assert len(procs) == self.WORKERS
+        assert not any(proc.is_alive() for proc in procs)
+        # the survivors noticed the dead peer and left on their own; none
+        # was still blocked on it when close() ran out of patience
+        assert [proc.exitcode for proc in procs] == [
+            -signal.SIGKILL if w == victim else 0 for w in range(self.WORKERS)
+        ]
