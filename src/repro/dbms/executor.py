@@ -43,6 +43,7 @@ from repro.dbms.qpu import (
     StreamingAggQpu,
 )
 from repro.dbms.sql.planner import PlannedQuery
+from repro.resilience.admission import AdmissionValve
 from repro.sim.process import Process
 
 __all__ = [
@@ -140,13 +141,12 @@ class RingDatabase:
         self.cost_model = cost_model if cost_model is not None else default_cost_model()
         self._local_registry = local_registry(self.catalog)
         self._next_query_id = 0
-        self.handles: List[QueryHandle] = []
-        self.max_inflight: Optional[int] = None  # admission valve (None: off)
-        # byte-aware admission (docs/overload.md): cap the persistent
-        # bytes behind all inflight footprints, overall and per engine
-        # class.  Both default off; the count valve above still applies.
-        self.byte_budget: Optional[int] = None
-        self.engine_byte_budgets: Dict[str, int] = {}
+        # live queries only: an entry leaves when its query completes
+        self.handles: Dict[int, QueryHandle] = {}
+        # admission (docs/overload.md §5): an inflight count cap plus
+        # caps on the persistent bytes behind all inflight footprints,
+        # overall and per engine class; all default off
+        self.valve = AdmissionValve()
         # section 6.2: intermediates circulate as first-class ring data
         self.result_cache = None
         self.cache_min_bytes = cache_min_bytes
@@ -264,7 +264,9 @@ class RingDatabase:
         self._next_query_id += 1
         runtime = self.dc.nodes[node]
         estimated = qpu.estimate_cost(compiled)
-        if self._shed(query_id, node, qpu.engine_class, compiled.footprint_bytes):
+        engine = qpu.engine_class
+        need = compiled.footprint_bytes
+        if self._shed(query_id, node, engine, need):
             return self._shed_handle(request, compiled, query_id, node, estimated)
         ctx = QpuContext(
             runtime=runtime,
@@ -288,8 +290,12 @@ class RingDatabase:
             except QueryAbort as abort:
                 self._release_pins(ctx, runtime, query_id)
                 runtime.finish_query(query_id, failed=True, error=str(abort))
-                return None
-            runtime.finish_query(query_id)
+                result = None
+            else:
+                runtime.finish_query(query_id)
+            # the same event in which the handle turns done
+            self.valve.release(query_id)
+            del self.handles[query_id]
             return result
 
         delay = arrival - self.dc.sim.now
@@ -302,12 +308,13 @@ class RingDatabase:
             node=node,
             sql=compiled.description,
             process=proc,
-            engine=qpu.engine_class,
+            engine=engine,
             request=request,
             estimated_cost=estimated,
-            footprint_bytes=compiled.footprint_bytes,
+            footprint_bytes=need,
         )
-        self.handles.append(handle)
+        self.valve.reserve(query_id, need, engine)
+        self.handles[query_id] = handle
         return handle
 
     # ------------------------------------------------------------------
@@ -344,49 +351,14 @@ class RingDatabase:
     def _shed(
         self, query_id: int, node: int, engine: str, footprint_bytes: int
     ) -> bool:
-        """Admission valves: inflight count, then inflight bytes.
+        """Ask the valve; publish the ``QueryShed`` when it refuses.
 
-        The count valve is the historical behaviour; the byte valves
-        weigh each query by ``CompiledQuery.footprint_bytes`` so one
-        wide analytic scan can't hide behind the same count slot as a
-        point lookup.  Per-engine budgets shed only their own class.
-        An empty valve always admits, so progress is guaranteed even
-        for a query wider than the whole budget.
+        Bytes are ``CompiledQuery.footprint_bytes``, so one wide
+        analytic scan can't hide behind the same count slot as a point
+        lookup.
         """
-        over = False
-        reason = ""
-        if self.max_inflight is not None:
-            inflight = sum(1 for h in self.handles if not h.done)
-            over = inflight >= self.max_inflight
-            if over:
-                reason = "count-valve"
-        if not over and (self.byte_budget is not None or self.engine_byte_budgets):
-            total = 0
-            per_engine = 0
-            busy = 0
-            for h in self.handles:
-                if h.done:
-                    continue
-                busy += 1
-                total += h.footprint_bytes
-                if h.engine == engine:
-                    per_engine += h.footprint_bytes
-            if (
-                busy
-                and self.byte_budget is not None
-                and total + footprint_bytes > self.byte_budget
-            ):
-                over = True
-            cap = self.engine_byte_budgets.get(engine)
-            if (
-                cap is not None
-                and per_engine > 0
-                and per_engine + footprint_bytes > cap
-            ):
-                over = True
-            if over:
-                reason = "byte-valve"
-        if not over:
+        reason = self.valve.refusal(footprint_bytes, engine=engine)
+        if reason is None:
             return False
         bus = self.dc.bus
         if bus.active:
@@ -405,7 +377,8 @@ class RingDatabase:
             return None
             yield  # pragma: no cover - makes this a generator
 
-        handle = QueryHandle(
+        # a refused query holds no reservation and no ``handles`` entry
+        return QueryHandle(
             query_id=query_id,
             node=node,
             sql=compiled.description,
@@ -414,8 +387,6 @@ class RingDatabase:
             request=request,
             estimated_cost=estimated,
         )
-        self.handles.append(handle)
-        return handle
 
     @staticmethod
     def _release_pins(ctx: QpuContext, runtime, query_id: int) -> None:

@@ -41,6 +41,7 @@ from repro.dbms.statistics import (
     QueryEstimator,
     StatisticsCatalog,
 )
+from repro.resilience.admission import AdmissionValve
 
 __all__ = ["FrontDoor", "FrontDoorPolicy", "Ticket"]
 
@@ -127,8 +128,8 @@ class FrontDoor:
         self.admitted = 0
         self.rejected = 0
         self.rejected_by_cause: Dict[str, int] = {}
-        self.estimated_inflight_bytes = 0
-        self.peak_estimated_inflight_bytes = 0
+        # reservations over *estimated* bytes, one per inflight ticket
+        self.valve = AdmissionValve(self.policy.byte_budget, self.policy.n_tiers)
         self.by_tier: Dict[int, _TierTally] = {
             t: _TierTally() for t in range(self.policy.n_tiers)
         }
@@ -201,10 +202,7 @@ class FrontDoor:
         self.tickets[query_id] = ticket
         self.admitted += 1
         self.by_tier[tier].admitted += 1
-        self.estimated_inflight_bytes += est.footprint_bytes
-        self.peak_estimated_inflight_bytes = max(
-            self.peak_estimated_inflight_bytes, self.estimated_inflight_bytes
-        )
+        self.valve.reserve(query_id, est.footprint_bytes)
         if bus.active:
             bus.publish(ev.FrontDoorAdmitted(
                 t=now, query_id=query_id, node=node, engine=est.engine,
@@ -231,13 +229,8 @@ class FrontDoor:
         if self.controller is not None:
             if tier < self.controller.effective_level():
                 return "controller"
-        if pol.byte_budget is not None and self.tickets:
-            cap = pol.byte_budget * (tier + 1) / pol.n_tiers
-            if (
-                self.estimated_inflight_bytes
-                and self.estimated_inflight_bytes + est.footprint_bytes > cap
-            ):
-                return "budget"
+        if self.valve.refusal(est.footprint_bytes, tier) is not None:
+            return "budget"
         return None
 
     def _reject(
@@ -271,7 +264,7 @@ class FrontDoor:
         if ticket is None or ticket.outcome != "inflight":
             return
         ticket.outcome = outcome
-        self.estimated_inflight_bytes -= ticket.estimate.footprint_bytes
+        self.valve.release(query_id)
         tally = self.by_tier[ticket.tier]
         if outcome == "shed":
             tally.shed_downstream += 1
@@ -325,8 +318,7 @@ class FrontDoor:
             "admitted": self.admitted,
             "rejected": self.rejected,
             "rejected_by_cause": dict(sorted(self.rejected_by_cause.items())),
-            "peak_estimated_inflight_bytes":
-                self.peak_estimated_inflight_bytes,
+            "peak_estimated_inflight_bytes": self.valve.peak_bytes,
             "by_tier": {
                 tier: {
                     "offered": tally.offered,

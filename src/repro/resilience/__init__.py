@@ -6,12 +6,14 @@ its explicit deviations.  The subsystem is inert unless
 ``DataCyclotronConfig.resilience`` is set.
 """
 
+from repro.resilience.admission import AdmissionValve
 from repro.resilience.detector import ArrivalWindow, SuccessorMonitor
 from repro.resilience.manager import ResilienceManager
 from repro.resilience.overload import OverloadController, OverloadPolicy
 from repro.resilience.retry import ATTEMPT_ID_BASE, QueryRetrier, RetryState
 
 __all__ = [
+    "AdmissionValve",
     "ArrivalWindow",
     "SuccessorMonitor",
     "OverloadController",

@@ -18,9 +18,10 @@ the SLO target:
   first, the top tier last.  Recovery is hysteretic: the level steps
   down only after ``recover_patience`` consecutive ticks below
   ``recover_fraction`` of the target, so the valve does not flap.
-* **byte backstop** -- an optional inflight-byte budget; lower tiers
-  get proportionally smaller slices, and an empty valve always admits
-  so progress is guaranteed.
+* **byte backstop** -- an optional inflight-byte budget held by an
+  :class:`~repro.resilience.admission.AdmissionValve`; lower tiers get
+  proportionally smaller slices, and an empty valve always admits so
+  progress is guaranteed.
 * **topology guard** -- while fragment migrations are in flight (or
   just finished), the *effective* shed level is tightened by
   ``topology_guard_tiers``: a ring split already pays a migration tax,
@@ -44,6 +45,7 @@ from typing import Callable, Dict, Optional
 from repro.core.query import QuerySpec
 from repro.events import types as ev
 from repro.metrics.window import WindowedHealth
+from repro.resilience.admission import AdmissionValve
 
 __all__ = ["OverloadPolicy", "OverloadController"]
 
@@ -114,8 +116,7 @@ class OverloadController:
         self.shed_level = 0
         self._healthy_ticks = 0
         self._overloaded_ticks = 0
-        self._inflight: Dict[int, int] = {}
-        self._inflight_bytes = 0
+        self.valve = AdmissionValve(policy.byte_budget, policy.n_tiers)
         self._migrations = 0
         self._last_migration_t = float("-inf")
         self._started = False
@@ -130,7 +131,6 @@ class OverloadController:
         # per-query records: query_id -> (registered_at, engine class)
         self._registered: Dict[int, float] = {}
         self._engine_of: Dict[int, str] = {}
-        self._tier_of: Dict[int, int] = {}
         # queries this controller refused: their QueryShed echo (the
         # caller publishes it) must not be double-counted as health sheds
         self._shed_ids: set = set()
@@ -160,10 +160,7 @@ class OverloadController:
 
     def _release(self, query_id: int) -> str:
         self._registered.pop(query_id, None)
-        self._tier_of.pop(query_id, None)
-        reserved = self._inflight.pop(query_id, None)
-        if reserved is not None:
-            self._inflight_bytes -= reserved
+        self.valve.release(query_id)
         return self._engine_of.pop(query_id, "")
 
     def _on_finished(self, e: ev.QueryFinished) -> None:
@@ -271,7 +268,7 @@ class OverloadController:
         self.max_level = max(self.max_level, level)
         if self.bus.active:
             self.bus.publish(ev.OverloadStateChanged(
-                self.sim.now, level, self.state, p99, self._inflight_bytes
+                self.sim.now, level, self.state, p99, self.valve.inflight_bytes
             ))
 
     @property
@@ -340,14 +337,10 @@ class OverloadController:
             return False
         if self.policy.byte_budget is not None and self._size_of is not None:
             need = sum(self._size_of(b) for b in spec.bat_ids)
-            cap = self.policy.byte_budget * (tier + 1) / self.policy.n_tiers
-            # an empty valve always admits: progress beats the budget
-            if self._inflight and self._inflight_bytes + need > cap:
+            if self.valve.refusal(need, tier) is not None:
                 self._shed_tier(spec, tier)
                 return False
-            self._inflight[spec.query_id] = need
-            self._inflight_bytes += need
-        self._tier_of[spec.query_id] = tier
+            self.valve.reserve(spec.query_id, need)
         return True
 
     def _shed_tier(self, spec: QuerySpec, tier: int) -> None:
@@ -409,7 +402,7 @@ class OverloadController:
             "level": self.shed_level,
             "max_level": self.max_level,
             "level_changes": self.level_changes,
-            "inflight_bytes": self._inflight_bytes,
+            "inflight_bytes": self.valve.inflight_bytes,
             "predicted_latency": round(self.predicted_latency(), 6),
             "window_p99": round(self.health.p99(), 6),
             "window_throughput": round(self.health.throughput(now), 6),

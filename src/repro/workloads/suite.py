@@ -916,7 +916,7 @@ def _frontdoor_once(
             tier_boundaries=FRONTDOOR_TIERS, admission="none",
             tag_tiers=True,
         ))
-        rdb.byte_budget = budget
+        rdb.valve.byte_budget = budget
     wl.offer_to(door)
     completed = rdb.run_until_done(max_time=MAX_TIME)
     return slo, door, wl, completed
@@ -986,7 +986,7 @@ def _mixed_overload_once(
         door = FrontDoor(rdb, policy=FrontDoorPolicy(
             tier_boundaries=FRONTDOOR_TIERS, admission="none",
         ))
-        rdb.byte_budget = budget
+        rdb.valve.byte_budget = budget
     wl.offer_to(door)
     completed = rdb.run_until_done(max_time=MAX_TIME)
     return slo, door, wl, completed

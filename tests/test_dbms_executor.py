@@ -137,9 +137,10 @@ def test_handles_record_submissions():
     ring.load_table("t", {"x": [1, 2, 3]})
     h1 = ring.submit("SELECT x FROM t", node=0)
     h2 = ring.submit("SELECT count(*) n FROM t", node=1, arrival=0.1)
-    assert ring.handles == [h1, h2]
+    assert ring.handles == {h1.query_id: h1, h2.query_id: h2}
     assert not h1.done
     assert h1.result is None  # not finished yet
     assert ring.run_until_done(max_time=60.0)
     assert h1.done and h2.done
     assert h2.result.rows() == [(3,)]
+    assert ring.handles == {}

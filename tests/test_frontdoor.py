@@ -81,7 +81,7 @@ class TestAdmission:
         assert len(admitted) == 2 and len(feedback) == 2
         # the loop closed: every prediction matched the compiled bytes
         assert all(e.predicted_bytes == e.actual_bytes for e in feedback)
-        assert door.estimated_inflight_bytes == 0
+        assert door.valve.inflight_bytes == 0
         assert all(t.outcome == "finished" for t in door.tickets.values())
 
     def test_budget_valve_sheds_big_queries_before_probes(self):
@@ -156,7 +156,7 @@ class TestLedger:
         rdb = make_rdb()
         # the dispatcher's blind valve: admits the first (empty valve),
         # refuses the second while the first is still inflight
-        rdb.byte_budget = 1
+        rdb.valve.byte_budget = 1
         door = FrontDoor(rdb, policy=FrontDoorPolicy(admission="none"))
         door.offer("SELECT v FROM t")
         door.offer("SELECT v FROM t")
@@ -165,7 +165,7 @@ class TestLedger:
         assert outcomes == ["finished", "shed"]
         shed = next(t for t in door.tickets.values() if t.outcome == "shed")
         assert door.by_tier[shed.tier].shed_downstream == 1
-        assert door.estimated_inflight_bytes == 0
+        assert door.valve.inflight_bytes == 0
 
     def test_summary_counts_offered_admitted_rejected(self):
         rdb = make_rdb()
@@ -207,19 +207,19 @@ class TestLedger:
 class TestShedReasons:
     def test_dispatcher_valves_name_their_reason(self):
         rdb = make_rdb()
-        rdb.byte_budget = 1
+        rdb.valve.byte_budget = 1
         sheds = capture(rdb.dc.bus, ev.QueryShed)
         rdb.submit("SELECT v FROM t")  # empty valve: admitted, inflight
         rdb.submit("SELECT v FROM t")  # over budget behind the first
         assert [e.reason for e in sheds] == ["byte-valve"]
-        rdb.byte_budget = None
-        rdb.max_inflight = 0
+        rdb.valve.byte_budget = None
+        rdb.valve.max_count = 0
         rdb.submit("SELECT v FROM t")
         assert [e.reason for e in sheds] == ["byte-valve", "count-valve"]
 
     def test_collector_counts_sheds_by_reason(self):
         rdb = make_rdb()
-        rdb.byte_budget = 1
+        rdb.valve.byte_budget = 1
         door = FrontDoor(rdb, policy=FrontDoorPolicy(
             reject_above_bytes=20_000,  # SELECT v is 19200 B: admitted
         ))

@@ -2,13 +2,15 @@
 
 Covers the streaming health window (:mod:`repro.metrics.window`), the
 :class:`OverloadController` brownout/recovery state machine, its byte
-valve and topology guard, the retry token bucket, the per-engine byte
-valves of :class:`RingDatabase`, and the cold-burst workload shape the
-overload scenarios are graded on.
+valve and topology guard, the retry token bucket, the shared
+:class:`AdmissionValve` and the per-engine byte valves of
+:class:`RingDatabase`, and the cold-burst workload shape the overload
+scenarios are graded on.
 """
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import DataCyclotronConfig
 from repro.core.query import QuerySpec
@@ -18,6 +20,7 @@ from repro.dbms.qpu import KvLookup, StreamAggregate
 from repro.events import types as ev
 from repro.events.bus import Bus
 from repro.metrics.window import SampleWindow, WindowedHealth
+from repro.resilience.admission import AdmissionValve
 from repro.resilience.overload import OverloadController, OverloadPolicy
 from repro.sim import Simulator
 from repro.workloads import ColdBurstWorkload, UniformDataset
@@ -287,14 +290,14 @@ def test_byte_valve_scales_caps_by_tier_and_always_admits_when_empty():
     )
     # empty valve: even a query wider than the whole budget is admitted
     assert ctrl.admit(_spec(1, tier=0, bats=(0, 1, 2)))
-    assert ctrl._inflight_bytes == 12 * MB
+    assert ctrl.valve.inflight_bytes == 12 * MB
     # tier-0 cap is 9MB/3 = 3MB: refused while the valve is occupied
     assert not ctrl.admit(_spec(2, tier=0, bats=(0,)))
     # the top tier's cap is the full 9MB... which is already exceeded
     assert not ctrl.admit(_spec(3, tier=2, bats=(0,)))
     # completion releases the reservation
     dep.bus.publish(ev.QueryFinished(0.1, 1, 0))
-    assert ctrl._inflight_bytes == 0
+    assert ctrl.valve.inflight_bytes == 0
     assert ctrl.admit(_spec(4, tier=0, bats=(0,)))
 
 
@@ -466,6 +469,104 @@ def test_retry_budget_refill_restores_tokens_over_time():
 
 
 # ----------------------------------------------------------------------
+# AdmissionValve against a rescanning reference
+# ----------------------------------------------------------------------
+
+ENGINES = ("mal", "kv", "stream")
+
+
+def reference_refusal(live, need, tier, engine, valve):
+    """The dispatcher's old rescan over its live queries, plus the tier
+    slice of the controller and the door.  An engine slice counts as
+    empty when it holds no reservation (the old rescan tested its bytes,
+    which differs only while zero-byte reservations are held)."""
+    if valve.max_count is not None and len(live) >= valve.max_count:
+        return "count-valve"
+    total = per_engine = busy_engine = 0
+    for nbytes, eng in live.values():
+        total += nbytes
+        if eng == engine:
+            per_engine += nbytes
+            busy_engine += 1
+    over = False
+    if live and valve.byte_budget is not None:
+        cap = valve.byte_budget
+        if tier is not None:
+            cap = valve.byte_budget * (tier + 1) / valve.n_tiers
+        over = total + need > cap
+    cap = valve.engine_budgets.get(engine)
+    if cap is not None and busy_engine and per_engine + need > cap:
+        over = True
+    return "byte-valve" if over else None
+
+
+valve_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("reserve"), st.integers(0, 11), st.integers(0, 40),
+            st.sampled_from(ENGINES),
+        ),
+        st.tuples(st.just("release"), st.integers(0, 11)),
+        st.tuples(
+            st.just("refusal"), st.integers(0, 40),
+            st.one_of(st.none(), st.integers(0, 2)), st.sampled_from(ENGINES),
+        ),
+    ),
+    max_size=60,
+)
+
+
+@settings(deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    ops=valve_ops,
+    byte_budget=st.one_of(st.none(), st.integers(0, 90)),
+    engine_budgets=st.dictionaries(
+        st.sampled_from(ENGINES), st.integers(0, 60), max_size=2
+    ),
+    max_count=st.one_of(st.none(), st.integers(0, 6)),
+)
+def test_valve_matches_a_rescanning_reference(
+    ops, byte_budget, engine_budgets, max_count
+):
+    valve = AdmissionValve(byte_budget, 3, engine_budgets, max_count)
+    live = {}  # query_id -> (bytes, engine), in reservation order
+    peak = 0
+    for op in ops:
+        if op[0] == "reserve":
+            _, qid, nbytes, engine = op
+            if qid in live:
+                with pytest.raises(ValueError):
+                    valve.reserve(qid, nbytes, engine)
+                continue
+            valve.reserve(qid, nbytes, engine)
+            live[qid] = (nbytes, engine)
+        elif op[0] == "release":
+            valve.release(op[1])
+            live.pop(op[1], None)
+        else:
+            _, need, tier, engine = op
+            assert valve.refusal(need, tier, engine) == reference_refusal(
+                live, need, tier, engine, valve
+            )
+        peak = max(peak, sum(nbytes for nbytes, _ in live.values()))
+        assert valve.reservations == live
+        assert valve.inflight_bytes == sum(b for b, _ in live.values())
+        assert valve.peak_bytes == peak
+
+
+def test_empty_valve_admits_a_query_wider_than_any_slice():
+    valve = AdmissionValve(byte_budget=10, n_tiers=3, engine_budgets={"kv": 1})
+    assert valve.refusal(1_000, tier=0, engine="kv") is None
+    valve.reserve(1, 0, "kv")
+    # a zero-byte reservation still makes the valve non-empty
+    assert valve.refusal(5, tier=0, engine="kv") == "byte-valve"
+    valve.release(1)
+    valve.release(1)  # releasing an id that holds nothing is a no-op
+    assert valve.refusal(1_000, tier=0, engine="kv") is None
+
+
+# ----------------------------------------------------------------------
 # RingDatabase byte valves (overall + per engine class)
 # ----------------------------------------------------------------------
 
@@ -488,7 +589,7 @@ def make_rdb(**kwargs) -> RingDatabase:
 
 def test_byte_budget_sheds_wide_queries_but_admits_when_empty():
     rdb = make_rdb(lifecycle_events=True)
-    rdb.byte_budget = 1  # essentially nothing
+    rdb.valve.byte_budget = 1  # essentially nothing
     # empty valve: the first query is admitted no matter how wide
     first = rdb.submit_request(StreamAggregate(table="t", value_column="v"))
     second = rdb.submit_request(StreamAggregate(table="t", value_column="v"))
@@ -501,7 +602,7 @@ def test_byte_budget_sheds_wide_queries_but_admits_when_empty():
 
 def test_engine_byte_budget_sheds_only_its_own_class():
     rdb = make_rdb(lifecycle_events=True)
-    rdb.engine_byte_budgets = {"stream": 1}
+    rdb.valve.engine_budgets = {"stream": 1}
     streams = [
         rdb.submit_request(StreamAggregate(table="t", value_column="v"))
         for _ in range(2)
@@ -514,6 +615,48 @@ def test_engine_byte_budget_sheds_only_its_own_class():
     assert streams[1].result is None
     assert kv.result is not None
     assert rdb.metrics.queries_shed_by_engine == {"stream": 1}
+
+
+def test_closed_loop_keeps_dispatcher_state_bounded():
+    """Handles and valve reservations leave with their query: a long
+    closed loop holds dispatcher state for its live queries only."""
+    rdb = make_rdb(lifecycle_events=True)
+    clients, total, think = 4, 2000, 0.01
+    # one 800-byte partition per probe: the live probes always fit
+    rdb.valve.byte_budget = (clients + 1) * 800
+    sim = rdb.dc.sim
+    owner = {}
+    submitted = 0
+    peak = 0
+
+    def submit(client, arrival=None):
+        nonlocal submitted, peak
+        if submitted == total:
+            return
+        key = (37 * submitted) % N_ROWS
+        handle = rdb.submit_request(
+            KvLookup(table="t", key=key, column="v"), node=client,
+            arrival=arrival,
+        )
+        owner[handle.query_id] = client
+        submitted += 1
+        peak = max(peak, len(rdb.handles))
+
+    def on_finished(e):
+        # the next lookup is a future arrival submitted while the
+        # finishing one still holds its handle: clients + 1 at most
+        submit(owner.pop(e.query_id), arrival=sim.now + think)
+
+    rdb.dc.bus.subscribe(ev.QueryFinished, on_finished)
+    for client in range(clients):
+        submit(client)
+    assert rdb.run_until_done(max_time=10_000.0)
+    assert submitted == total
+    assert rdb.metrics.queries_shed == 0
+    assert peak <= clients + 1
+    assert len(rdb.handles) == 0
+    assert rdb.valve.reservations == {}
+    assert rdb.valve.inflight_bytes == 0
 
 
 # ----------------------------------------------------------------------

@@ -174,7 +174,7 @@ def test_default_mal_path_keeps_legacy_sql_tag():
 
 def test_admission_valve_sheds_above_max_inflight():
     rdb = make_rdb(lifecycle_events=True)
-    rdb.max_inflight = 2
+    rdb.valve.max_count = 2
     handles = [
         rdb.submit_request(KvLookup(table="t", key=k, column="v"), arrival=0.0)
         for k in range(5)
